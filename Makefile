@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race ci bench bench-compare profile coverage figures-quick fmt-check fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke
+.PHONY: all build vet test race ci bench bench-compare profile coverage figures-quick fmt-check fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke smoke-preflight
 
 all: ci
 
@@ -33,12 +33,42 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./internal/exp ./internal/obsv ./internal/cache ./internal/pb ./internal/srv ./internal/fault ./internal/client ./internal/dist ./internal/sim ./internal/simtest ./internal/stream
 
+# Test selections of the smoke targets below, named once so that
+# smoke-preflight checks exactly what each target runs.
+FUZZ_EDGELIST = ^FuzzReadEdgeList$$
+FUZZ_CSR      = ^FuzzReadCSR$$
+SERVE_SMOKE   = ^TestServeSmoke$$
+CHAOS_SMOKE   = TestChaos|TestSlowloris
+FLEET_SMOKE   = TestFleet
+STREAM_SMOKE  = ^TestStreamOfflineConformance$$
+STREAM_JOBS   = ^TestStreamJob
+
+# `go test -run X` passes silently when X matches no test, so a smoke
+# target whose tests were renamed, deleted or never compiled would
+# stay green on zero tests. The preflight lists each selection with
+# `go test -list` in every package it runs against and fails when one
+# lists nothing (or the package does not compile).
+smoke-preflight:
+	@check() { \
+	  out=$$($(GO) test -list "$$1" "$$2" 2>&1) || { echo "$$out"; echo "smoke-preflight: cannot list tests of $$2"; exit 1; }; \
+	  echo "$$out" | grep -qE '^(Test|Fuzz)' || { echo "smoke-preflight: pattern '$$1' matches no test in $$2"; exit 1; }; \
+	}; \
+	check '$(FUZZ_EDGELIST)' ./internal/gio && \
+	check '$(FUZZ_CSR)' ./internal/gio && \
+	check '$(SERVE_SMOKE)' ./cmd/cobrad && \
+	check '$(CHAOS_SMOKE)' ./cmd/figures && \
+	check '$(CHAOS_SMOKE)' ./cmd/cobrad && \
+	check '$(FLEET_SMOKE)' ./cmd/figures && \
+	check '$(STREAM_SMOKE)' ./internal/stream && \
+	check '$(STREAM_JOBS)' ./internal/srv && \
+	echo "smoke-preflight: every smoke selection matches tests"
+
 # Short fuzz budget per gio reader target: enough to shake out decoder
 # panics and allocation bombs on every CI run without stalling it.
 # (Plain `go test` already replays each target's seed corpus.)
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/gio
-	$(GO) test -run='^$$' -fuzz='^FuzzReadCSR$$' -fuzztime=10s ./internal/gio
+	$(GO) test -run='^$$' -fuzz='$(FUZZ_EDGELIST)' -fuzztime=10s ./internal/gio
+	$(GO) test -run='^$$' -fuzz='$(FUZZ_CSR)' -fuzztime=10s ./internal/gio
 
 # Per-package statement coverage with a total summary line. CI runs
 # this in place of the bare `test` target so coverage regressions are
@@ -53,7 +83,7 @@ coverage:
 # sync job over HTTP, diffs the metrics against a direct exp.RunScheme
 # call, then SIGTERMs it under load and asserts a clean drain (exit 0).
 serve-smoke:
-	$(GO) test -run '^TestServeSmoke$$' -v ./cmd/cobrad
+	$(GO) test -run '$(SERVE_SMOKE)' -v ./cmd/cobrad
 
 # Crash-recovery chaos: re-executes the figures and cobrad test
 # binaries as real processes under COBRA_FAULTS schedules that SIGKILL
@@ -61,7 +91,7 @@ serve-smoke:
 # then asserts byte-identical resume, a restart-surviving result
 # cache, and the slowloris read-header-timeout disconnect.
 chaos-smoke:
-	$(GO) test -run 'TestChaos|TestSlowloris' -v ./cmd/figures ./cmd/cobrad
+	$(GO) test -run '$(CHAOS_SMOKE)' -v ./cmd/figures ./cmd/cobrad
 
 # Distributed-campaign smoke: re-executes the figures test binary as
 # real cobrad worker processes (one throttled to a single in-flight job
@@ -70,7 +100,7 @@ chaos-smoke:
 # with a worker SIGKILLed mid-campaign and with the coordinator itself
 # killed and resumed from its fleet journal.
 fleet-smoke:
-	$(GO) test -run 'TestFleet' -v ./cmd/figures
+	$(GO) test -run '$(FLEET_SMOKE)' -v ./cmd/figures
 
 # Streaming-engine smoke: a tiny 3-window streamed run byte-compared
 # against the offline oracle (same updates replayed in one batch), both
@@ -78,10 +108,10 @@ fleet-smoke:
 # HTTP (POST /v1/stream vs a direct engine run, plus mid-stream kill
 # and window-granularity resume through the result-cache journal).
 stream-smoke:
-	$(GO) test -run '^TestStreamOfflineConformance$$' -v ./internal/stream
-	$(GO) test -run '^TestStreamJob' -v ./internal/srv
+	$(GO) test -run '$(STREAM_SMOKE)' -v ./internal/stream
+	$(GO) test -run '$(STREAM_JOBS)' -v ./internal/srv
 
-ci: vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-compare
+ci: smoke-preflight vet build race coverage fuzz-smoke serve-smoke chaos-smoke fleet-smoke stream-smoke bench-compare
 
 # Hot-path microbenchmarks (packed cache metadata; scalar-vs-batched
 # hierarchy pipeline; PB binning).

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"cobra/internal/sim"
 )
 
 // renderFigure runs a figure driver and returns its rendered bytes —
@@ -65,5 +67,32 @@ func TestAblationDeterministicUnderParallelism(t *testing.T) {
 
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("A2 output differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	}
+}
+
+// TestBatchedPipelineOutputByteIdentical extends the byte-identity
+// acceptance to the batched reference pipeline: Fig 10 and Table I
+// rendered through the batched hot path must equal the scalar oracle's
+// artifacts byte for byte (not approximately — the simulated cycle
+// counts themselves must agree in every bit for the tables to match).
+func TestBatchedPipelineOutputByteIdentical(t *testing.T) {
+	batched := Opts{Scale: 12, Seed: 42, Arch: sim.DefaultArch()}
+	scalar := batched
+	scalar.Arch = scalar.Arch.WithScalarRefs()
+	for _, fig := range []struct {
+		name string
+		fn   func(Opts) (*Table, error)
+	}{{"10", Fig10}, {"t1", Table1}} {
+		ResetMemos()
+		a := renderFigure(t, fig.fn, batched)
+		ResetMemos()
+		b := renderFigure(t, fig.fn, scalar)
+		if len(a) == 0 {
+			t.Fatalf("fig %s: empty artifact", fig.name)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("fig %s: batched pipeline artifact differs from scalar oracle:\n--- batched ---\n%s\n--- scalar ---\n%s",
+				fig.name, a, b)
+		}
 	}
 }

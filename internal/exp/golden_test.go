@@ -9,8 +9,9 @@ package exp
 //	go test ./internal/exp -run TestGoldenMetrics -update
 //
 // and the diff is reviewed like any other source change. The 1-core
-// rows double as the multi-core work's byte-identity contract: they
-// may never change in a PR that only touches the sharded path.
+// rows run the same sharded runners as the 16-core rows, on a gang of
+// one core; a runner change that is not a timing-model change must
+// leave both sets unchanged.
 
 import (
 	"bytes"

@@ -306,35 +306,19 @@ func BestIdealPB(sweep []sim.Metrics) sim.Metrics {
 // RunScheme executes one scheme by name; bins <= 0 triggers the PB-SW
 // sweep (and PB-SW's best bin count is reused for PHI).
 func RunScheme(app *sim.App, scheme sim.Scheme, bins int, arch sim.Arch) (sim.Metrics, error) {
-	switch scheme {
-	case sim.SchemeBaseline:
-		return sim.RunBaseline(app, arch)
-	case sim.SchemePBSW:
-		if bins > 0 {
-			return sim.RunPBSW(app, bins, arch)
-		}
-		best, _, err := BestPBSW(app, arch)
-		return best, err
-	case sim.SchemePBIdeal:
+	switch {
+	case scheme == sim.SchemePBIdeal:
 		_, sweep, err := BestPBSW(app, arch)
 		if err != nil {
 			return sim.Metrics{}, err
 		}
 		return BestIdealPB(sweep), nil
-	case sim.SchemeCOBRA:
-		return sim.RunCOBRA(app, sim.CobraOpt{}, arch)
-	case sim.SchemeComm:
-		return sim.RunCOBRA(app, sim.CobraOpt{Coalesce: true}, arch)
-	case sim.SchemePHI:
-		if bins <= 0 {
-			best, _, err := BestPBSW(app, arch)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
-			bins = best.NumBins
+	case bins <= 0 && (scheme == sim.SchemePBSW || scheme == sim.SchemePHI):
+		best, _, err := BestPBSW(app, arch)
+		if err != nil || scheme == sim.SchemePBSW {
+			return best, err
 		}
-		return sim.RunPHI(app, bins, arch)
-	default:
-		return sim.Metrics{}, fmt.Errorf("exp: unknown scheme %q", scheme)
+		bins = best.NumBins // PHI inherits PB-SW's best bin count
 	}
+	return sim.Run(app, scheme, bins, arch)
 }

@@ -71,8 +71,8 @@ type RunSpec struct {
 	Bins int `json:"bins,omitempty"`
 	// NUCA enables Table II's 4x4-mesh NUCA latency model.
 	NUCA bool `json:"nuca,omitempty"`
-	// Cores is the simulated core count (0 and 1 both select the
-	// single-core model; >1 runs the sharded multi-core model).
+	// Cores is the simulated core count (0 and 1 both select one
+	// core; every count runs the same sharded runners).
 	Cores int `json:"cores,omitempty"`
 
 	// Kind selects offline ("" — the historical behavior) or streamed

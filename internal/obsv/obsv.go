@@ -30,7 +30,7 @@
 //     with observability on and off.
 //
 // Hierarchy is expressed by dotted metric names ("exp.cell.wall",
-// "sim.pbsw.binning.wall"); Scope returns a view that prefixes every
+// "sim.pbsw.core0.binning.wall"); Scope returns a view that prefixes every
 // name, and Scope on a nil registry is nil, so disabled-ness propagates
 // through subsystem handles for free.
 package obsv

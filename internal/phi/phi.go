@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"cobra/internal/core"
+	"cobra/internal/stats"
 )
 
 // Config sizes the coalescing hierarchy.
@@ -141,20 +142,13 @@ func New(cfg Config, numKeys uint64) *Model {
 	if cfg.Reduce == nil {
 		cfg.Reduce = func(a, b uint64) uint64 { return a + b }
 	}
-	if cfg.NumBins < 1 {
-		cfg.NumBins = 1
-	}
 	m := &Model{cfg: cfg}
 	m.lvls[0] = newTable(cfg.L1Bytes, cfg.TupleBytes)
 	m.lvls[1] = newTable(cfg.L2Bytes, cfg.TupleBytes)
 	m.lvls[2] = newTable(cfg.LLCBytes, cfg.TupleBytes)
 	// Power-of-two bin range covering numKeys with <= NumBins bins.
-	shift := uint(0)
-	for (numKeys+(1<<shift)-1)>>shift > uint64(cfg.NumBins) {
-		shift++
-	}
+	shift, bins := stats.PowTwoBins(numKeys, cfg.NumBins)
 	m.shift = shift
-	bins := int((numKeys + (1 << shift) - 1) >> shift)
 	m.Bins = make([][]core.Tuple, bins)
 	return m
 }

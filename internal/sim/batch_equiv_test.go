@@ -3,9 +3,10 @@ package sim_test
 // Differential tests pinning the batched op pipeline (Mach.B over
 // mem.AccessBatch) to the scalar per-reference oracle: every Metrics
 // field of every scheme must be bit-identical under
-// Arch.WithScalarRefs().
+// Arch.WithScalarRefs(), on one core and on a gang of four.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,10 +16,12 @@ import (
 )
 
 // runAll executes every scheme (including the COBRA variants with
-// distinctive machinery: coalescing, bin regrouping, no-partition) and
-// returns the metrics keyed by a descriptive name.
-func runAll(t *testing.T, arch sim.Arch) map[string]sim.Metrics {
+// distinctive machinery: coalescing, bin regrouping, no-partition) on
+// the given number of cores and returns the metrics keyed by a
+// descriptive name.
+func runAll(t *testing.T, arch sim.Arch, cores int) map[string]sim.Metrics {
 	t.Helper()
+	arch = arch.WithCores(cores)
 	out := map[string]sim.Metrics{}
 	for _, dist := range simtest.Dists() {
 		app, _ := simtest.CountAppDist(dist, 1<<13, 30000, 77)
@@ -67,19 +70,26 @@ func runAll(t *testing.T, arch sim.Arch) map[string]sim.Metrics {
 // compared exactly), phase deltas, counters, traffic — must not differ
 // in any bit between the batched pipeline and the scalar oracle.
 func TestBatchedPipelineMatchesScalar(t *testing.T) {
-	batched := runAll(t, sim.DefaultArch())
-	scalar := runAll(t, sim.DefaultArch().WithScalarRefs())
-	if len(batched) != len(scalar) {
-		t.Fatalf("scheme sets differ: %d vs %d", len(batched), len(scalar))
-	}
-	for name, b := range batched {
-		s, ok := scalar[name]
-		if !ok {
-			t.Fatalf("missing scalar run %q", name)
-		}
-		if !reflect.DeepEqual(b, s) {
-			t.Errorf("%s: batched metrics diverge from scalar oracle\nbatched: %+v\nscalar:  %+v", name, b, s)
-		}
+	for _, cores := range []int{1, 4} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			batched := runAll(t, sim.DefaultArch(), cores)
+			scalar := runAll(t, sim.DefaultArch().WithScalarRefs(), cores)
+			if len(batched) != len(scalar) {
+				t.Fatalf("scheme sets differ: %d vs %d", len(batched), len(scalar))
+			}
+			for name, b := range batched {
+				s, ok := scalar[name]
+				if !ok {
+					t.Fatalf("missing scalar run %q", name)
+				}
+				if b.Cores != cores {
+					t.Errorf("%s: merged %d cores, want %d", name, b.Cores, cores)
+				}
+				if !reflect.DeepEqual(b, s) {
+					t.Errorf("%s: batched metrics diverge from scalar oracle\nbatched: %+v\nscalar:  %+v", name, b, s)
+				}
+			}
+		})
 	}
 }
 

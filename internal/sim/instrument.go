@@ -46,8 +46,9 @@ type runObs struct {
 	updates int
 }
 
-// beginRunObs opens observation of one run and counts it.
-func beginRunObs(scheme Scheme, app *App) runObs {
+// beginRunObs opens observation of one run on a gang of n cores,
+// counts it, and records its width in the "cores" gauge.
+func beginRunObs(scheme Scheme, app *App, n int) runObs {
 	root := obsv.Default()
 	if root == nil {
 		return runObs{}
@@ -55,29 +56,15 @@ func beginRunObs(scheme Scheme, app *App) runObs {
 	reg := root.Scope(schemeScope(scheme))
 	reg.Counter("runs").Add(1)
 	reg.Counter("updates").Add(uint64(app.NumUpdates))
+	reg.Gauge("cores").Set(float64(n))
 	return runObs{reg: reg, start: time.Now(), updates: app.NumUpdates}
 }
 
-// phase starts a wall-clock timer for one phase ("init.wall",
-// "binning.wall", "accumulate.wall").
-func (ro runObs) phase(name string) obsv.Timer {
-	if ro.reg == nil {
-		return obsv.Timer{}
-	}
-	return ro.reg.Timer(name)
-}
-
-// cores records the shard width of a multi-core run.
-func (ro runObs) cores(n int) {
-	if ro.reg == nil {
-		return
-	}
-	ro.reg.Gauge("cores").Set(float64(n))
-}
-
 // corePhase starts a per-core wall-clock timer for one shard's phase
-// ("core3.binning.wall"). Timers on distinct cores run concurrently;
-// the registry is lock-free, so this is safe from the shard goroutines.
+// ("core0.init.wall", "core3.binning.wall", "core0.accumulate.wall"):
+// every run, single-core included, times its phases per core. Timers
+// on distinct cores run concurrently; the registry is lock-free, so
+// this is safe from the shard goroutines.
 func (ro runObs) corePhase(c int, name string) obsv.Timer {
 	if ro.reg == nil {
 		return obsv.Timer{}

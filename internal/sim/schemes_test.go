@@ -6,6 +6,8 @@ package sim_test
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cobra/internal/sim"
@@ -259,5 +261,38 @@ func TestMaxLLCBufsRegroup(t *testing.T) {
 	}
 	if m.Cycles <= 0 {
 		t.Fatal("capped run produced no cycles")
+	}
+}
+
+// plainApplier hides the Shard method of the applier it wraps.
+type plainApplier struct{ sim.Applier }
+
+// TestUnshardableApplierRunsOnOneCore pins the runners' one
+// core-count-specific rule: a gang of one needs no per-core applier
+// views, so an applier without Shard runs on one core — with metrics
+// and output identical to the shardable applier it wraps — and is
+// refused on four.
+func TestUnshardableApplierRunsOnOneCore(t *testing.T) {
+	app, counts := simtest.CountApp(1<<12, 20000, 31)
+	plain := *app
+	plain.NewApplier = func(m *sim.Mach) sim.Applier { return plainApplier{app.NewApplier(m)} }
+	want := simtest.RefCounts(app)
+	for _, scheme := range []sim.Scheme{sim.SchemeBaseline, sim.SchemePBSW, sim.SchemeCOBRA, sim.SchemePHI} {
+		ref, err := sim.Run(app, scheme, 64, sim.DefaultArch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run(&plain, scheme, 64, sim.DefaultArch())
+		if err != nil {
+			t.Fatalf("%s on one core: %v", scheme, err)
+		}
+		simtest.CheckCounts(t, string(scheme), *counts, want)
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: unshardable applier changed the metrics\ngot:  %+v\nwant: %+v", scheme, got, ref)
+		}
+		_, err = sim.Run(&plain, scheme, 64, sim.DefaultArch().WithCores(4))
+		if err == nil || !strings.Contains(err.Error(), "does not support multi-core sharding") {
+			t.Errorf("%s on four cores: err = %v, want the sharding refusal", scheme, err)
+		}
 	}
 }

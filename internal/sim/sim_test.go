@@ -6,6 +6,10 @@ package sim
 // oracle is in internal/simtest.
 
 import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cobra/internal/core"
@@ -80,5 +84,40 @@ func TestSchemeScopeNames(t *testing.T) {
 		if got := schemeScope(s); got != want {
 			t.Fatalf("schemeScope(%s) = %s, want %s", s, got, want)
 		}
+	}
+}
+
+// TestRunShardsCapturesPanics: a panicking shard becomes that core's
+// error — also the last shard, which runs on the caller's goroutine —
+// every other shard still runs, and the lowest failing core wins.
+func TestRunShardsCapturesPanics(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		var ran atomic.Int32
+		err := runShards(n, func(c int) error {
+			ran.Add(1)
+			if c == n-1 {
+				panic("boom")
+			}
+			return nil
+		})
+		if want := fmt.Sprintf("sim: core %d panicked: boom", n-1); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("n=%d: err = %v, want prefix %q", n, err, want)
+		}
+		if got := ran.Load(); got != int32(n) {
+			t.Fatalf("n=%d: %d shards ran, want all %d", n, got, n)
+		}
+	}
+	errLow := errors.New("core 1 failed")
+	err := runShards(4, func(c int) error {
+		switch c {
+		case 1:
+			return errLow
+		case 3:
+			panic("boom")
+		}
+		return nil
+	})
+	if !errors.Is(err, errLow) {
+		t.Fatalf("err = %v, want the lowest failing core's error", err)
 	}
 }

@@ -122,6 +122,20 @@ func maxU64(a, b uint64) uint64 {
 // DivCeil returns ceil(a/b) for b > 0.
 func DivCeil(a, b uint64) uint64 { return (a + b - 1) / b }
 
+// PowTwoBins returns the power-of-two key range of shift-based binning
+// (Algorithm 2) for n keys in at most maxBins bins (maxBins < 1 counts
+// as 1): the smallest shift with ceil(n / 2^shift) <= maxBins, and the
+// bin count it yields.
+func PowTwoBins(n uint64, maxBins int) (shift uint, bins int) {
+	if maxBins < 1 {
+		maxBins = 1
+	}
+	for DivCeil(n, 1<<shift) > uint64(maxBins) {
+		shift++
+	}
+	return shift, int(DivCeil(n, 1<<shift))
+}
+
 // Histogram counts values into n equal-width buckets over [lo, hi).
 // Values outside the range clamp into the edge buckets.
 type Histogram struct {

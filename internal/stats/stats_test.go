@@ -236,3 +236,22 @@ func TestExpPositive(t *testing.T) {
 		t.Fatalf("Exp mean = %v, want ~1", mean)
 	}
 }
+
+func TestPowTwoBins(t *testing.T) {
+	for _, c := range []struct {
+		n       uint64
+		maxBins int
+		shift   uint
+		bins    int
+	}{
+		{1000, 64, 4, 63},     // ceil(1000/8) = 125 > 64
+		{1024, 32, 5, 32},     // exact power of two
+		{1000, 5000, 0, 1000}, // more bins than keys: one key per bin
+		{1000, 0, 10, 1},      // maxBins < 1 counts as 1
+	} {
+		shift, bins := PowTwoBins(c.n, c.maxBins)
+		if shift != c.shift || bins != c.bins {
+			t.Errorf("PowTwoBins(%d, %d) = (%d, %d), want (%d, %d)", c.n, c.maxBins, shift, bins, c.shift, c.bins)
+		}
+	}
+}

@@ -138,30 +138,17 @@ func RunOffline(w Workload, cfg Config) (*Result, error) {
 	return &Result{PerWindow: []sim.Metrics{m}, Merged: m, Final: st.Vals}, nil
 }
 
-// runScheme dispatches one epoch (or the offline concatenation) to the
-// existing scheme runners.
+// runScheme runs one epoch (or the offline concatenation) through the
+// scheme's runner, at DefaultBins unless the config names a bin count.
 func runScheme(app *sim.App, cfg Config) (sim.Metrics, error) {
+	if !Streamable(cfg.Scheme) {
+		return sim.Metrics{}, fmt.Errorf("stream: scheme %q is not streamable (want one of Baseline, PB-SW, COBRA, COBRA-COMM, PHI)", cfg.Scheme)
+	}
 	bins := cfg.Bins
 	if bins <= 0 {
 		bins = DefaultBins
 	}
-	if bins > app.NumKeys {
-		bins = app.NumKeys
-	}
-	switch cfg.Scheme {
-	case sim.SchemeBaseline:
-		return sim.RunBaseline(app, cfg.Arch)
-	case sim.SchemePBSW:
-		return sim.RunPBSW(app, bins, cfg.Arch)
-	case sim.SchemeCOBRA:
-		return sim.RunCOBRA(app, sim.CobraOpt{}, cfg.Arch)
-	case sim.SchemeComm:
-		return sim.RunCOBRA(app, sim.CobraOpt{Coalesce: true}, cfg.Arch)
-	case sim.SchemePHI:
-		return sim.RunPHI(app, bins, cfg.Arch)
-	default:
-		return sim.Metrics{}, fmt.Errorf("stream: scheme %q is not streamable (want one of Baseline, PB-SW, COBRA, COBRA-COMM, PHI)", cfg.Scheme)
-	}
+	return sim.Run(app, cfg.Scheme, bins, cfg.Arch)
 }
 
 // Streamable reports whether a scheme can drive the windowed engine.
